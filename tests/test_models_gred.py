@@ -151,7 +151,8 @@ class TestGRED:
     def test_llm_log_records_behaviours(self, prepared_gred, robustness_suite):
         example = robustness_suite.dual_variant.examples[1]
         database = robustness_suite.catalog.get(example.db_id)
-        before = len(prepared_gred.llm.log)
+        before = prepared_gred.llm.log.by_behaviour()
         prepared_gred.predict(example.nlq, database)
-        behaviours = {record.behaviour for record in prepared_gred.llm.log.records[before:]}
+        after = prepared_gred.llm.log.by_behaviour()
+        behaviours = {name for name, count in after.items() if count > before.get(name, 0)}
         assert {"generation", "retune", "debug"} <= behaviours

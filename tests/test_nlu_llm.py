@@ -9,6 +9,7 @@ from repro.llm import ChatMessage, SimulatedChatModel
 from repro.llm.behaviors.annotation import AnnotationBehaviour
 from repro.llm.behaviors.debug import DebugBehaviour
 from repro.llm.behaviors.retune import RetuneBehaviour
+from repro.llm.interface import LOG_RECORDS_KEPT
 from repro.llm.parsing import parse_generation_prompt, parse_retune_prompt, parse_schema_block
 from repro.core.prompts import make_debug_prompt, make_generation_prompt, make_retune_prompt
 from repro.nlu import ConditionExtractor, QuestionInterpreter
@@ -199,3 +200,14 @@ class TestSimulatedLLMBehaviours:
     def test_unknown_prompt_returns_empty(self):
         model = SimulatedChatModel()
         assert model.complete([ChatMessage(role="user", content="hello there")]) == ""
+
+    def test_log_counts_every_completion_but_keeps_the_latest_records(self):
+        model = SimulatedChatModel()
+        calls = LOG_RECORDS_KEPT + 44
+        for index in range(calls):
+            model.complete([ChatMessage(role="user", content=f"hello {index}")])
+        assert len(model.log) == calls
+        assert model.log.by_behaviour() == {"unknown": calls}
+        assert len(model.log.records) == LOG_RECORDS_KEPT
+        last = model.log.records[-1].messages[0].content
+        assert last == f"hello {calls - 1}"
